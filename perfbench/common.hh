@@ -36,8 +36,9 @@ using g5::Json;
 /** Name of the scheduler probe's no-op task. */
 constexpr const char *noopTaskName = "perfbench-noop";
 
-/** Worker count of every workload: fixed, never above nproc. */
-unsigned benchWorkers();
+/** Worker count of every workload, from the command line (run.py
+ *  passes a fixed count, never above nproc). */
+extern unsigned benchWorkers;
 
 /** splitmix64: the benchmark's own input generator. */
 class SeededRng

@@ -11,8 +11,7 @@ writes them).
 For every workload and end-to-end metric it prints the median and the
 first and third quartiles (statistics.quantiles, n=4), the spread
 (Q3 - Q1) / median, and the share of failed operations. With one set,
-a spread wider than the metric's bound is flagged (setup_s is exempt:
-its median is what is compared). With two sets, a median that moved
+a spread wider than the metric's bound is flagged. With two sets, a median that moved
 the wrong way by more than the bound is flagged WORSE, one that moved
 the right way by more than the bound and by more than the base set's
 spread is flagged better, and a metric whose base spread exceeds its
@@ -110,9 +109,9 @@ def main():
             note = ""
             base = stats[0]
             if len(stats) == 1:
-                if name != "setup_s" and base["spread"] > bound:
+                if base["spread"] > bound:
                     note = "SPREAD > bound %.3g" % bound
-                elif name != "setup_s" and base["spread"] > bound / 3:
+                elif base["spread"] > bound / 3:
                     note = "spread > bound/3"
             elif stats[1] is not None:
                 change = (stats[1]["median"] - base["median"]) / base["median"]
@@ -123,7 +122,7 @@ def main():
                 elif (not worse and abs(change) > bound
                       and abs(change) > base["spread"]):
                     note += " better beyond bound"
-                elif name != "setup_s" and base["spread"] > bound:
+                elif base["spread"] > bound:
                     note += " unresolved (spread > bound)"
             flagged |= "WORSE" in note or "SPREAD" in note
             print(line + "  " + note)

@@ -134,7 +134,7 @@ probeDb(Workload &w, Json &out)
 void
 probeScheduler(Json &out)
 {
-    unsigned workers = benchWorkers();
+    unsigned workers = benchWorkers;
     if (scheduler::WorkerPool::envWorkerCount() > 0) {
         // Forked workers: a no-op job through the framed wire protocol.
         if (!scheduler::workerJobRegistered(noopTaskName))

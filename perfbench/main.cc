@@ -3,10 +3,13 @@
  * g5perf: one step of a benchmark round, reported as a JSON line on
  * stdout. perfbench/run.py builds this binary and runs the steps.
  *
- * Usage: g5perf <workload> <seed> <dir> cold|warm
- *        g5perf <workload> <seed> <dir> trace <trace.json>
+ * Usage: g5perf <workload> <seed> <workers> <dir> cold|warm
+ *        g5perf <workload> <seed> <workers> <dir> trace <trace.json>
  *
- * cold sets a workspace up three times from empty directories under
+ * <workers> is the worker count of every Tasks queue and scheduler
+ * probe (under G5_WORKERS, run.py sets the same count there).
+ *
+ * cold sets a workspace up eight times from empty directories under
  * <dir> (each a set-up time sample; the last, <dir>/work, is kept) and
  * launches the workload against the empty database. warm reopens
  * <dir>/work, as a second invocation of the launch script would, and
@@ -126,18 +129,24 @@ newReport(const std::string &workload)
                          {"digests", Json::array()}});
 }
 
+/** Set-ups per cold process: a single one lasts a few milliseconds. */
+constexpr int setupSamples = 8;
+
 /**
- * Set up three times from empty directories (each one a setup_s
+ * Set up setupSamples times from empty directories (each one a setup_s
  * sample; the last, <root>/work, is kept), then launch cold.
  */
 PassStats
 coldPass(Workload &w, const std::string &root, Json &report)
 {
     Json setup_s = Json::array();
-    for (const char *name : {"setup0", "setup1", "work"}) {
+    for (int i = 0; i < setupSamples; ++i) {
         w.close();
+        std::string dir = root + (i + 1 < setupSamples
+                                      ? "/setup" + std::to_string(i)
+                                      : std::string("/work"));
         LayerSpan span("resources+art:workspace setup");
-        w.setup(root + "/" + name);
+        w.setup(dir);
         setup_s.push(span.seconds());
     }
     report["setup_s"] = setup_s;
@@ -223,18 +232,20 @@ tracedRound(const std::string &workload, std::uint64_t seed,
 int
 main(int argc, char **argv)
 {
-    std::string mode = argc > 4 ? argv[4] : "";
-    if (!((argc == 5 && (mode == "cold" || mode == "warm")) ||
-          (argc == 6 && mode == "trace"))) {
+    std::string mode = argc > 5 ? argv[5] : "";
+    if (!((argc == 6 && (mode == "cold" || mode == "warm")) ||
+          (argc == 7 && mode == "trace"))) {
         std::fprintf(stderr,
-                     "usage: g5perf <workload> <seed> <dir> cold|warm\n"
-                     "       g5perf <workload> <seed> <dir> trace "
-                     "<trace.json>\n");
+                     "usage: g5perf <workload> <seed> <workers> <dir> "
+                     "cold|warm\n"
+                     "       g5perf <workload> <seed> <workers> <dir> "
+                     "trace <trace.json>\n");
         return 2;
     }
     std::string workload = argv[1];
     std::uint64_t seed = std::stoull(argv[2]);
-    std::string root = argv[3];
+    benchWorkers = unsigned(std::stoul(argv[3]));
+    std::string root = argv[4];
     auto w = makeWorkload(workload, seed);
     if (!w) {
         std::fprintf(stderr, "g5perf: unknown workload '%s'\n",
@@ -267,7 +278,7 @@ main(int argc, char **argv)
     // cost.
     tracedRound(workload, seed, root + "/warmup", false);
     emit(tracedRound(workload, seed, root + "/untraced", false));
-    g5::tracing::start(argv[5]);
+    g5::tracing::start(argv[6]);
     Json traced = tracedRound(workload, seed, root + "/traced", true);
     Json trace = g5::tracing::stop();
     // In-process runs record run: spans; forked ones reach the parent

@@ -4,7 +4,7 @@
 Usage (from the repository root):
 
     python3 perfbench/run.py --workload boot-matrix --seed 1 \
-        --seconds 15 --trace 0
+        --seconds 25 --trace 0
 
 Builds perfbench/ (CMake) into $CARGO_TARGET_DIR/perfbench, default
 .bench_build/perfbench, then repeats whole rounds of the workload until
@@ -23,10 +23,12 @@ See README.md.
 """
 
 import argparse
+import fcntl
 import json
 import os
 import shutil
 import statistics
+import struct
 import subprocess
 import sys
 import threading
@@ -36,52 +38,17 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 REPO = os.path.dirname(HERE)
 REFERENCE = os.path.join(HERE, "reference.json")
 
-WORKLOADS = ["boot-matrix", "parsec-timing", "error-study", "gpu-regalloc"]
+# Workloads, metric names and units, and the run length come from
+# BENCHMARK.json, the one description of the benchmark.
+with open(os.path.join(REPO, "BENCHMARK.json")) as _f:
+    SPEC = json.load(_f)
+WORKLOADS = [w["name"] for w in SPEC["workloads"]]
+END_TO_END = {m["name"]: m["unit"] for m in SPEC["end_to_end"]}
+PER_LAYER = {m["name"]: m["unit"] for m in SPEC["per_layer"]}
 
-# Worker count of every workload (g5perf's benchWorkers() agrees).
+# Worker count of every workload, passed to g5perf (and, for the
+# forked error-study workers, to G5_WORKERS).
 WORKERS = min(2, os.cpu_count() or 1)
-
-END_TO_END = {
-    "setup_s": "s",
-    "cold_runs_per_s": "1/s",
-    "warm_runs_per_s": "1/s",
-    "peak_rss_mb": "MB",
-    "db_disk_mb": "MB",
-}
-
-PER_LAYER = {
-    "art.create_run_us.first": "us",
-    "art.create_run_us.last": "us",
-    "art.cache_hits": "count",
-    "art.ckpt_boots": "count",
-    "art.ckpt_restored_runs": "count",
-    "art.run_ms.p50": "ms",
-    "db.insert_us": "us",
-    "db.find_indexed_us": "us",
-    "db.save_ms": "ms",
-    "db.commit_ms.p50": "ms",
-    "db.commit_ms.p99": "ms",
-    "db.open_s": "s",
-    "db.wal_bytes": "bytes",
-    "scheduler.dispatch_us": "us",
-    "scheduler.ipc_bytes": "bytes",
-    "scheduler.retries": "count",
-    "sim.fast_mips": "MIPS",
-    "sim.atomic_mips": "MIPS",
-    "sim.timing_mips": "MIPS",
-    "sim.o3_mips": "MIPS",
-    "sim.ruby_mips": "MIPS",
-    "sim.events_per_s": "1/s",
-    "sim.ckpt_save_ms": "ms",
-    "sim.ckpt_restore_ms": "ms",
-    "sim.se_run_us": "us",
-    "sim.gpu_mcycles_per_s": "Mcycles/s",
-    "base.json_dump_mb_per_s": "MB/s",
-    "base.json_parse_mb_per_s": "MB/s",
-    "base.md5_mb_per_s": "MB/s",
-    "resources.image_build_ms": "ms",
-    "trace.overhead_ms": "ms",
-}
 
 PROCESS_TIMEOUT_S = 170
 
@@ -130,7 +97,7 @@ def run_process(binary, workload, seed, work, mode, trace_path=None):
     """One g5perf process; returns its reports and its peak RSS."""
     os.makedirs(work, exist_ok=True)
     out_path = os.path.join(work, "g5perf-%s.out" % mode)
-    cmd = [binary, workload, str(seed), work, mode]
+    cmd = [binary, workload, str(seed), str(WORKERS), work, mode]
     if trace_path:
         cmd.append(trace_path)
     with open(out_path, "wb") as out:
@@ -162,29 +129,60 @@ def run_round(binary, workload, seed, work):
     return report
 
 
+# ext4's "top of directory hierarchy" inode flag (chattr +T).
+FS_IOC_GETFLAGS = 0x80086601
+FS_IOC_SETFLAGS = 0x40086602
+TOPDIR_FL = 0x00020000
+
+
+def make_spread_dir(path):
+    """Create @path; ask the file system to spread its subdirectories.
+
+    On ext4 without a journal, the inode allocator avoids inodes freed
+    less than about 30 s before, stepping over each one and reading
+    it. After a round's thousands of files are deleted, creating a
+    file in the same block group costs ~0.6 ms of kernel time instead
+    of ~0.03 ms for half a minute, and set-up and the passes' file
+    writes slow down tenfold. ext4 places each subdirectory of a
+    directory marked top-level in a block group with the fewest
+    directories, searching from a hash of its name, so a round's files
+    mostly land away from the inodes the rounds before it freed. Where
+    the flag is not supported the directory is left as it is.
+    """
+    os.makedirs(path, exist_ok=True)
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        buf = bytearray(8)
+        fcntl.ioctl(fd, FS_IOC_GETFLAGS, buf)
+        flags = struct.unpack_from("i", buf)[0] | TOPDIR_FL
+        fcntl.ioctl(fd, FS_IOC_SETFLAGS, struct.pack("iI", flags, 0))
+    except OSError:
+        pass
+    finally:
+        os.close(fd)
+
+
 def run_rounds(binary, workload, seed, work, seconds):
     """Whole rounds until @seconds have passed.
 
     Each round's files are deleted between rounds, so every round after
     the first starts from the same file-system state whatever ran
-    before this run.
+    before this run. Round directories are named after the process as
+    well, so no run places a round where the run before it just freed
+    one (see make_spread_dir).
     """
     rounds = []
     start = time.monotonic()
     while not rounds or time.monotonic() - start < seconds:
-        round_dir = os.path.join(work, "r%d" % len(rounds))
+        round_dir = os.path.join(work, "r%d-%d" % (len(rounds), os.getpid()))
         rounds.append(run_round(binary, workload, seed, round_dir))
         remove_work(round_dir)
     return rounds
 
 
 def remove_work(work):
-    """Delete a work directory and commit the deletion.
-
-    The fsync on the parent directory makes the file system finish the
-    deletion (on a disk mounted with online discard, its discards) now,
-    not during the next round's measurement.
-    """
+    """Delete a work directory and write the deletion out now, not
+    during the next round's measurement."""
     shutil.rmtree(work, ignore_errors=True)
     parent = os.path.dirname(work)
     if os.path.isdir(parent):
@@ -316,7 +314,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--workload", choices=WORKLOADS)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=15)
+    ap.add_argument("--seconds", type=float, default=SPEC["run_seconds"])
     ap.add_argument("--trace", type=int, choices=[0, 1], default=0)
     ap.add_argument("--regen-reference", action="store_true",
                     help="rewrite reference.json (seeds 1-10 for "
@@ -324,8 +322,10 @@ def main():
     args = ap.parse_args()
 
     binary = build()
+    make_spread_dir(os.path.join(build_dir(), "work"))
     work = os.path.join(build_dir(), "work", "%s-%d"
                         % (args.workload or "reference", os.getpid()))
+    make_spread_dir(work)
     try:
         if args.regen_reference:
             regen_reference(binary, work)

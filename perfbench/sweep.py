@@ -2,11 +2,12 @@
 """Run the benchmark over several seeds and keep each result.
 
     python3 perfbench/sweep.py --out results/base --seeds 1-10 \
-        [--workloads boot-matrix,error-study] [--seconds 15] [--trace 0]
+        [--workloads boot-matrix,error-study]
 
 Writes <out>/<workload>-<seed>.json, the last stdout line of each
-`perfbench/run.py` run, for perfbench/compare.py. Runs are made one at
-a time, workload by workload.
+`perfbench/run.py --trace 0` run (end-to-end metrics, run_seconds from
+BENCHMARK.json), for perfbench/compare.py. Runs are made one at a
+time, workload by workload.
 """
 
 import argparse
@@ -32,15 +33,12 @@ def main():
     ap.add_argument("--out", required=True)
     ap.add_argument("--seeds", type=seeds, default=seeds("1-10"))
     ap.add_argument("--workloads", default=",".join(WORKLOADS))
-    ap.add_argument("--seconds", default="15")
-    ap.add_argument("--trace", default="0")
     args = ap.parse_args()
     os.makedirs(args.out, exist_ok=True)
     for w in args.workloads.split(","):
         for s in args.seeds:
             cmd = [sys.executable, os.path.join(HERE, "run.py"),
-                   "--workload", w, "--seed", str(s),
-                   "--seconds", args.seconds, "--trace", args.trace]
+                   "--workload", w, "--seed", str(s), "--trace", "0"]
             res = subprocess.run(cmd, stdout=subprocess.PIPE, text=True)
             if res.returncode:
                 sys.exit("run failed: " + " ".join(cmd))

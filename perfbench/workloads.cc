@@ -12,7 +12,6 @@
 #include <fstream>
 #include <optional>
 #include <set>
-#include <thread>
 
 #include "art/errstudy.hh"
 #include "art/tasks.hh"
@@ -20,6 +19,7 @@
 #include "base/md5.hh"
 #include "common.hh"
 #include "resources/catalog.hh"
+#include "sim/fs/fs_system.hh"
 #include "sim/fs/guest_abi.hh"
 #include "sim/fs/known_issues.hh"
 #include "sim/gpu/gpu.hh"
@@ -34,12 +34,7 @@ using namespace g5;
 using namespace g5::art;
 namespace stdfs = std::filesystem;
 
-unsigned
-benchWorkers()
-{
-    unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-    return std::min(2u, hw);
-}
+unsigned benchWorkers = 1;
 
 CounterDelta::CounterDelta(std::vector<const char *> names)
 {
@@ -179,7 +174,7 @@ class FsSweep : public Workload
         std::vector<std::string> ids;
         std::vector<Gem5Run> runs;
         runs.reserve(cells.size());
-        Tasks tasks(ws->adb(), benchWorkers());
+        Tasks tasks(ws->adb(), benchWorkers);
         double start = monotonicSeconds();
         for (const Run &c : cells) {
             LayerSpan span("art:createFSRun");
@@ -574,8 +569,8 @@ class ErrorStudyWorkload : public Workload
             f.spec = std::string(target) + ":" + str(bit) + ":" +
                      str(std::int64_t(at)) + ":" +
                      str(std::int64_t(flip_seed));
-            f.atInst = at;
             f.beyond = beyond;
+            f.iters = iters;
             flips.push_back(f);
         }
     }
@@ -644,7 +639,7 @@ class ErrorStudyWorkload : public Workload
             return run;
         };
         ErrorStudy study(ws->adb(), "perfbench");
-        Tasks tasks(ws->adb(), benchWorkers());
+        Tasks tasks(ws->adb(), benchWorkers);
         double start = monotonicSeconds();
         {
             LayerSpan span("art:ErrorStudy::run");
@@ -702,7 +697,15 @@ class ErrorStudyWorkload : public Workload
             return;
         }
 
-        // The cold pass ran every main: check where each flip landed.
+        // The cold pass ran every main on the fast CPU, whose batches
+        // must stop at the injection boundary. AtomicSimpleCpu counts
+        // down one instruction at a time, so a replay on it lands each
+        // flip at exactly its instruction: the main's injection record
+        // (victim, before/after values), final architectural state and
+        // instruction count must equal the replay's. Ticks are left
+        // out: both CPU models stamp the injection record and the SE
+        // exit with the tick their current batch started at, so the
+        // ticks differ with the batch boundaries, not with the flip.
         std::vector<std::string> ids;
         for (const Flip &f : flips)
             ids.push_back(coldIds.at("perfbench/" + f.workload + "/" +
@@ -720,15 +723,19 @@ class ErrorStudyWorkload : public Workload
                     ++beyond_ok;
             } else {
                 ++inside;
+                sim::fs::SimResult ref = atomicReplay(f);
                 if (doc.contains("errInject") &&
-                    std::uint64_t(
-                        doc.at("errInject").getInt("atInst", -1)) ==
-                        f.atInst)
+                    withoutTick(doc.at("errInject")) ==
+                        withoutTick(ref.errInject) &&
+                    doc.getString("archMd5", "") == ref.archMd5 &&
+                    doc.getInt("totalInsts", -1) ==
+                        std::int64_t(ref.totalInsts))
                     ++fired_ok;
             }
         }
         checks.add("flips before the program's end fire at their "
-                   "instruction",
+                   "instruction (fast-CPU record and state equal an "
+                   "atomic-CPU replay's)",
                    fired_ok == inside, str(fired_ok) + "/" + str(inside));
         checks.add("flips past the program's end never fire and are "
                    "masked",
@@ -741,9 +748,33 @@ class ErrorStudyWorkload : public Workload
     {
         std::string workload;
         std::string spec;
-        std::uint64_t atInst = 0;
         bool beyond = false;
+        int iters = 0;
     };
+
+    static Json
+    withoutTick(Json record)
+    {
+        if (record.isObject())
+            record.asObject().erase("tick");
+        return record;
+    }
+
+    /** @p f's main run replayed on AtomicSimpleCpu, outside the art
+     *  layer, with the tick limit the art layer gives SE runs. */
+    static sim::fs::SimResult
+    atomicReplay(const Flip &f)
+    {
+        sim::fs::FsConfig cfg;
+        cfg.cpuType = sim::CpuType::AtomicSimple;
+        cfg.numCpus = 1;
+        cfg.memSystem = "classic";
+        cfg.seProgram = errStudyProgram(f.iters);
+        cfg.errInject = sim::ErrorInjectConfig::parse(f.spec);
+        cfg.archDigest = true;
+        sim::fs::FsSystem fs(cfg);
+        return fs.run(2'000'000'000'000ULL);
+    }
 
     /**
      * The terminal document of @p workload's shared checker replay.
