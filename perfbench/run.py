@@ -4,7 +4,7 @@
 Usage (from the repository root):
 
     python3 perfbench/run.py --workload boot-matrix --seed 1 \
-        --seconds 25 --trace 0
+        --seconds 32 --trace 0
 
 Builds perfbench/ (CMake) into $CARGO_TARGET_DIR/perfbench, default
 .bench_build/perfbench, then repeats whole rounds of the workload until
@@ -47,8 +47,10 @@ END_TO_END = {m["name"]: m["unit"] for m in SPEC["end_to_end"]}
 PER_LAYER = {m["name"]: m["unit"] for m in SPEC["per_layer"]}
 
 # Worker count of every workload, passed to g5perf (and, for the
-# forked error-study workers, to G5_WORKERS).
-WORKERS = min(2, os.cpu_count() or 1)
+# forked error-study workers, to G5_WORKERS). With one worker, and every
+# g5perf process on one CPU (see pin_to_one_cpu), each pass runs one
+# thread at a time.
+WORKERS = 1
 
 PROCESS_TIMEOUT_S = 170
 
@@ -82,6 +84,20 @@ def build():
         if subprocess.run(cmd, stdout=sys.stderr, stderr=sys.stderr).returncode:
             fail("build failed: " + " ".join(cmd))
     return os.path.join(out, "g5perf")
+
+
+def pin_to_one_cpu():
+    """Run this process, and so every g5perf it starts, on one CPU.
+
+    The passes then run one thread at a time whatever the backend: the
+    launching thread and its worker thread (or forked worker process)
+    hand work to each other on one CPU instead of waking another. On a
+    virtual machine whose host is loaded by other guests, passes on two
+    worker threads spread by 14-71% of their median from run to run,
+    while the serial GPU workload stayed within 25%. The last CPU is
+    taken: on the reference host it serves the fewest interrupts.
+    """
+    os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
 
 
 def child_env(workload):
@@ -322,6 +338,7 @@ def main():
     args = ap.parse_args()
 
     binary = build()
+    pin_to_one_cpu()
     make_spread_dir(os.path.join(build_dir(), "work"))
     work = os.path.join(build_dir(), "work", "%s-%d"
                         % (args.workload or "reference", os.getpid()))

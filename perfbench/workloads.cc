@@ -25,7 +25,6 @@
 #include "sim/gpu/gpu.hh"
 #include "sim/isa/builder.hh"
 #include "workloads/gpu_apps.hh"
-#include "workloads/parsec.hh"
 
 namespace g5perf
 {
@@ -361,144 +360,6 @@ class BootMatrix : public FsSweep
     std::vector<Run> cells;
     std::optional<Workspace::Item> script;
     std::vector<Json> docs; ///< of the last launch, in cell order
-};
-
-// ---------------------------------------------------------------------
-// parsec-timing: Fig 6's 60 PARSEC runs on the timing CPU.
-// ---------------------------------------------------------------------
-
-class ParsecTiming : public FsSweep
-{
-  public:
-    explicit ParsecTiming(std::uint64_t seed) : FsSweep(seed)
-    {
-        for (const char *release : {"18.04", "20.04"})
-            for (const auto &app : workloads::parsecSuite())
-                for (int cores : {1, 2, 8}) {
-                    Json p = Json::object();
-                    p["cpu"] = "timing";
-                    p["num_cpus"] = cores;
-                    p["mem_system"] =
-                        cores == 1 ? "classic" : "MESI_Two_Level";
-                    p["boot_type"] = "init";
-                    p["workload"] = "/parsec/bin/" + app.name;
-                    p["workload_arg"] = cores;
-                    p["max_ticks"] = std::int64_t(300'000'000'000'000);
-                    cells.push_back({"parsec-" + app.name + "-ubuntu" +
-                                         release + "-" + str(cores) +
-                                         "cpu",
-                                     release, std::string("disk-") +
-                                                  release,
-                                     p});
-                }
-        rng.shuffle(cells);
-    }
-
-    void
-    setup(const std::string &dir) override
-    {
-        openWorkspace(dir);
-        items.insert_or_assign("18.04", ws->kernel("4.15.18"));
-        items.insert_or_assign("20.04", ws->kernel("5.4.51"));
-        for (const char *release : {"18.04", "20.04"})
-            items.insert_or_assign(std::string("disk-") + release, ws->disk(
-                std::string("parsec-ubuntu-") + release,
-                resources::buildParsecImage(release)));
-        script = ws->runScript("launch_parsec_tests.py",
-                               "PARSEC run script");
-    }
-
-    int warmPasses() const override { return 10; }
-
-    PassStats
-    launch(int) override
-    {
-        CounterDelta c({"art.runCache.hits"});
-        PassStats st = sweep(cells, *script, 3600.0, docs);
-        cacheHits = c["art.runCache.hits"];
-        return st;
-    }
-
-    void
-    verify(int pass, Checks &checks, Json &digest) override
-    {
-        // (release, app, cores) -> doc
-        std::map<std::string, const Json *> by;
-        int ok = 0;
-        std::vector<std::string> lines;
-        std::int64_t ticks = 0, insts = 0;
-        for (std::size_t i = 0; i < cells.size(); ++i) {
-            const Json &d = docs[i];
-            const Json &p = cells[i].params;
-            std::string key = cells[i].kernel + "/" +
-                              p.getString("workload") + "/" +
-                              str(p.getInt("num_cpus"));
-            by[key] = &d;
-            if (d.getString("status") == "SUCCESS" &&
-                d.getInt("roiTicks") > 0)
-                ++ok;
-            ticks += d.getInt("simTicks");
-            insts += d.getInt("totalInsts");
-            lines.push_back(cells[i].name + " " +
-                            str(d.getInt("roiTicks")) + " " +
-                            str(d.getInt("simTicks")) + " " +
-                            str(d.getInt("totalInsts")));
-        }
-        auto roi = [&](const char *rel, const std::string &app, int n) {
-            return double(by.at(std::string(rel) + "/" + "/parsec/bin/" +
-                                app + "/" + str(n))
-                              ->getInt("roiTicks"));
-        };
-        auto instsOf = [&](const char *rel, const std::string &app,
-                           int n) {
-            return double(by.at(std::string(rel) + "/" + "/parsec/bin/" +
-                                app + "/" + str(n))
-                              ->getInt("totalInsts"));
-        };
-        int slower18 = 0, napps = 0;
-        double d1 = 0, d8 = 0, i18 = 0, i20 = 0, s18 = 0, s20 = 0;
-        for (const auto &app : workloads::parsecSuite()) {
-            ++napps;
-            if (roi("18.04", app.name, 1) > roi("20.04", app.name, 1))
-                ++slower18;
-            d1 += std::fabs(roi("18.04", app.name, 1) -
-                            roi("20.04", app.name, 1));
-            d8 += std::fabs(roi("18.04", app.name, 8) -
-                            roi("20.04", app.name, 8));
-            for (int n : {1, 2, 8}) {
-                i18 += instsOf("18.04", app.name, n);
-                i20 += instsOf("20.04", app.name, n);
-            }
-            s18 += roi("18.04", app.name, 1) / roi("18.04", app.name, 8);
-            s20 += roi("20.04", app.name, 1) / roi("20.04", app.name, 8);
-        }
-        s18 /= napps;
-        s20 /= napps;
-        checks.add("every run succeeds with roiTicks > 0",
-                   ok == int(cells.size()), str(ok));
-        checks.add("most apps slower on 18.04 at 1 core",
-                   2 * slower18 > napps, str(slower18));
-        checks.add("mean |delta| shrinks from 1 to 8 cores", d8 < d1,
-                   std::to_string(d1 / napps / 1e9) + " ms -> " +
-                       std::to_string(d8 / napps / 1e9) + " ms");
-        checks.add("20.04 runs more guest instructions on average",
-                   i20 > i18, "");
-        checks.add("both releases speed up from 1 to 8 cores, 20.04 more",
-                   s18 > 1.0 && s20 > 1.0 && s20 > s18,
-                   std::to_string(s18) + " / " + std::to_string(s20));
-        if (pass > 1)
-            checks.add("warm pass serves all 60 runs from the run cache",
-                       cacheHits == 60, str(cacheHits));
-        digest["simTicks"] = ticks;
-        digest["totalInsts"] = insts;
-        digest["runsMd5"] = md5Lines(lines);
-    }
-
-  private:
-    std::vector<Run> cells;
-    std::optional<Workspace::Item> script;
-    std::vector<Json> docs; ///< of the last launch, in cell order
-    std::int64_t cacheHits = 0;
 };
 
 // ---------------------------------------------------------------------
@@ -995,8 +856,6 @@ makeWorkload(const std::string &name, std::uint64_t seed)
 {
     if (name == "boot-matrix")
         return std::make_unique<BootMatrix>(seed);
-    if (name == "parsec-timing")
-        return std::make_unique<ParsecTiming>(seed);
     if (name == "error-study")
         return std::make_unique<ErrorStudyWorkload>(seed);
     if (name == "gpu-regalloc")
